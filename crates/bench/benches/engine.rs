@@ -26,8 +26,9 @@
 //!   plan (`SimSession::prefetch`) — the amortization the suite's
 //!   `--prefetch` default buys every campaign replay.
 //! * `push/*` — the authenticated write path: one signed `PUT` per
-//!   record versus one chunked `POST /batch-put` for a whole grid's
-//!   worth — what a `DRI_PUSH=1` worker pays to heal its simulations
+//!   record (which waits out the server's commit window) versus one
+//!   chunked `POST /batch-put` for a whole grid's worth (one journal
+//!   fsync) — what a `DRI_PUSH=1` worker pays to heal its simulations
 //!   into the central store after a sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -185,32 +186,6 @@ fn bench_engine(c: &mut Criterion) {
     });
     push_server.shutdown();
     let _ = std::fs::remove_dir_all(&push_root);
-
-    // The same grid push against a journaled server: the whole batch
-    // lands as one checksummed segment append with **one fsync**, versus
-    // one atomic record write (and its per-file fsync) per entry above.
-    let journal_root =
-        std::env::temp_dir().join(format!("dri-engine-bench-journal-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&journal_root);
-    let journal_server = dri_serve::Server::bind_with_journal(
-        Arc::new(ResultStore::open(&journal_root).expect("journal store")),
-        "127.0.0.1:0",
-        2,
-        Some(token.to_owned()),
-        dri_serve::DEFAULT_LEASE_TTL_MS,
-        None,
-        Some(dri_serve::JournalConfig::default()),
-    )
-    .expect("journal server");
-    let journal_pusher = dri_serve::RemoteStore::with_token(
-        journal_server.addr().to_string(),
-        Some(token.to_owned()),
-    );
-    group.bench_function("push/batch_put_grid_journaled/compress_quick", |b| {
-        b.iter(|| black_box(journal_pusher.push_batch(black_box(&entries))))
-    });
-    journal_server.shutdown();
-    let _ = std::fs::remove_dir_all(&journal_root);
 
     // The wire/at-rest codec alone, over a real encoded DRI record:
     // what each push body / journal frame / stored record pays.

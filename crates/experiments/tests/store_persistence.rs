@@ -267,7 +267,7 @@ fn torn_journal_tail_recovers_the_synced_prefix_and_compacts_bit_identically() {
             let want = entry(tag, i);
             assert_eq!(
                 recovered.lookup("dri", 1, want.key).as_deref(),
-                Some(&want.payload),
+                Some(&want.payload[..]),
                 "recovered batch {tag} entry {i}"
             );
         }

@@ -44,8 +44,10 @@
 //! reverse: the worker frames the full checksummed record
 //! ([`dri_store::frame_record`]), the server re-validates it against the
 //! schema and key the request *names* (a mismatch fails the entry), and
-//! the payload lands through the store's atomic temp+rename write, so
-//! racing GC and concurrent readers never observe a torn record.
+//! the `200` follows the one fsync of the group-commit journal frame
+//! carrying the batch (see [`server`]); compaction later lands each
+//! payload through the store's atomic temp+rename write, so racing GC
+//! and concurrent readers never observe a torn record.
 //!
 //! ## The push protocol
 //!

@@ -18,24 +18,26 @@
 //!   loop blocks — clients time out, treat it as a miss, and simulate
 //!   locally rather than pile up.
 //!
-//! ## The group-commit write path
+//! ## The write path
 //!
-//! A server bound with a [`JournalConfig`] routes every accepted write
-//! through a [`dri_store::Journal`] instead of one-fsync-per-record
-//! store saves: a whole `POST /batch-put` becomes **one** checksummed
-//! segment append and **one** fsync, acked only after the fsync — so an
-//! ack is a durability promise, proven by the crash-recovery tests. A
-//! commit window additionally coalesces concurrent single `PUT`s
-//! (which each wait out a few-millisecond window) into the same fsync.
-//! Reads fall through the journal index before touching the store, and
-//! a background compactor drains sealed segments into ordinary record
-//! files on an interval (plus once at shutdown).
+//! Every accepted write goes through a [`dri_store::Journal`]: a whole
+//! `POST /batch-put` becomes **one** checksummed segment append and
+//! **one** fsync, acked only after the fsync — so an ack is a
+//! durability promise, proven by the crash-recovery tests. A commit
+//! window additionally coalesces concurrent single `PUT`s (which each
+//! wait out a few-millisecond window) into the same fsync. Reads fall
+//! through the journal index before touching the store, and a
+//! background compactor drains the journal into ordinary record files
+//! on an interval, whenever [`COMPACT_DEPTH`] records are waiting, and
+//! once more at shutdown. Binding recovers whatever journal segments a
+//! crashed server left under the root, so even a read-only server
+//! serves every record a writer acked there.
 
 use std::borrow::Cow;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -132,9 +134,22 @@ pub const MAX_PUSH_RECORD: usize = 1024 * 1024;
 /// How long one `/stats` disk-usage walk is reused before re-walking.
 const USAGE_CACHE_TTL: Duration = Duration::from_secs(5);
 
-/// How a journaled server groups writes (see the module docs). All
-/// fields have production defaults; `Default` is the tuned
-/// configuration `dri-serve --journal` / `DRI_JOURNAL=1` uses.
+/// Environment variable setting [`JournalConfig::commit_window`] in
+/// milliseconds (0 = fsync immediately).
+pub const COMMIT_WINDOW_ENV: &str = "DRI_COMMIT_WINDOW_MS";
+/// Environment variable setting [`JournalConfig::compact_interval`] in
+/// milliseconds.
+pub const COMPACT_INTERVAL_ENV: &str = "DRI_JOURNAL_COMPACT_MS";
+/// Journal depth (records acked but not yet compacted) at which the
+/// write path wakes the compactor ahead of its interval. Each pass then
+/// re-reads only a few batches' worth of segment (about five 7-record
+/// batches), which keeps the compactor's buffers — and the server's
+/// footprint — small under a sustained push stream, while a lone batch
+/// still waits for the interval.
+pub const COMPACT_DEPTH: u64 = 32;
+
+/// How a server groups writes (see the module docs). All fields have
+/// production defaults; `Default` is the tuned configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct JournalConfig {
     /// How long a single `PUT /record` waits for company before paying
@@ -144,9 +159,6 @@ pub struct JournalConfig {
     /// How often the background compactor drains sealed segments into
     /// ordinary record files.
     pub compact_interval: Duration,
-    /// Segment rotation / frame compression knobs passed through to
-    /// [`dri_store::Journal::open`].
-    pub options: JournalOptions,
 }
 
 impl Default for JournalConfig {
@@ -154,7 +166,25 @@ impl Default for JournalConfig {
         JournalConfig {
             commit_window: Duration::from_millis(2),
             compact_interval: Duration::from_millis(250),
-            options: JournalOptions::default(),
+        }
+    }
+}
+
+impl JournalConfig {
+    /// The defaults with [`COMMIT_WINDOW_ENV`] and
+    /// [`COMPACT_INTERVAL_ENV`] applied; an absent or unparsable value
+    /// keeps its default.
+    pub fn from_env() -> JournalConfig {
+        let ms = |name: &str, default: Duration| {
+            std::env::var(name)
+                .ok()
+                .and_then(|raw| raw.trim().parse::<u64>().ok())
+                .map_or(default, Duration::from_millis)
+        };
+        let defaults = JournalConfig::default();
+        JournalConfig {
+            commit_window: ms(COMMIT_WINDOW_ENV, defaults.commit_window),
+            compact_interval: ms(COMPACT_INTERVAL_ENV, defaults.compact_interval),
         }
     }
 }
@@ -258,12 +288,37 @@ impl CommitWindow {
     }
 }
 
-/// The journal plus its commit-window coordinator (present only on
-/// servers bound with a [`JournalConfig`]).
+/// What the background compactor is told besides its interval.
+#[derive(Debug)]
+enum Wake {
+    /// Run a pass now: [`COMPACT_DEPTH`] records are waiting.
+    Kick,
+    /// Run one more pass, then exit (sent at shutdown).
+    Stop,
+}
+
+/// The journal, its commit-window coordinator, and the line to its
+/// background compactor.
 #[derive(Debug)]
 struct JournalTier {
     journal: Journal,
     window: CommitWindow,
+    /// Holds at most one message, so kicks never pile up behind a pass.
+    compactor: SyncSender<Wake>,
+}
+
+impl JournalTier {
+    /// Commits `entries` through the commit window (see
+    /// [`CommitWindow::submit`]); once the journal holds
+    /// [`COMPACT_DEPTH`] records, wakes the compactor early.
+    fn commit(&self, entries: Vec<JournalEntry>, coalesce: bool) -> io::Result<()> {
+        self.window.submit(&self.journal, entries, coalesce)?;
+        if self.journal.depth() >= COMPACT_DEPTH {
+            // A full line already holds a kick.
+            let _ = self.compactor.try_send(Wake::Kick);
+        }
+        Ok(())
+    }
 }
 
 /// Snapshot of the service's traffic counters.
@@ -287,7 +342,8 @@ pub struct ServeStats {
     /// authorized or not — the server-side mirror of the client's
     /// `push_round_trips`.
     pub push_round_trips: u64,
-    /// Records accepted through the write path and landed on disk.
+    /// Records accepted through the write path (acked durable in the
+    /// journal).
     pub records_accepted: u64,
     /// Write attempts rejected: failed authentication, writes hitting a
     /// read-only server, and corrupt / key-mismatched / oversized frames
@@ -356,7 +412,7 @@ pub(crate) struct AtomicServeStats {
     store_bytes: Gauge,
     store_generation: Gauge,
     /// Journal-tier gauges, refreshed at `/metrics` scrape time from
-    /// [`Journal::stats`] (all zero on a journal-less server).
+    /// [`Journal::stats`].
     journal_depth: Gauge,
     journal_batches: Gauge,
     journal_appended: Gauge,
@@ -541,9 +597,9 @@ pub(crate) struct Shared {
     lease_ttl_ms: u64,
     /// The chaos layer: `Some` only when `DRI_FAULT` asked for it.
     pub(crate) faults: Option<FaultSpec>,
-    /// The group-commit write path: `Some` only on servers bound with a
-    /// [`JournalConfig`]; `None` keeps the original save-per-record path.
-    journal: Option<JournalTier>,
+    /// The group-commit write path and the read tier in front of the
+    /// store.
+    journal: JournalTier,
     /// Which connection front-end this server runs (`/stats` reports it
     /// so the saturation benchmark can label its measurements).
     event_loop: bool,
@@ -575,14 +631,7 @@ pub struct Server {
     stopping: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
     shared: Arc<Shared>,
-    compactor: Option<CompactorHandle>,
-}
-
-/// The background journal-compactor thread plus its stop signal.
-#[derive(Debug)]
-struct CompactorHandle {
-    thread: JoinHandle<()>,
-    stop: Arc<(Mutex<bool>, Condvar)>,
+    compactor: Option<JoinHandle<()>>,
 }
 
 impl Server {
@@ -611,10 +660,10 @@ impl Server {
         Self::bind_with_options(store, addr, workers, token, DEFAULT_LEASE_TTL_MS, None)
     }
 
-    /// The full-control bind: [`Server::bind_with_token`] plus the lease
-    /// TTL granted to `--steal` workers and an optional [`FaultSpec`]
-    /// chaos layer (`DRI_FAULT`; `None` = behave perfectly, the
-    /// production default).
+    /// [`Server::bind_with_token`] plus the lease TTL granted to
+    /// `--steal` workers and an optional [`FaultSpec`] chaos layer
+    /// (`DRI_FAULT`; `None` = behave perfectly, the production default).
+    /// The journal takes [`JournalConfig::from_env`].
     pub fn bind_with_options(
         store: Arc<ResultStore>,
         addr: impl ToSocketAddrs,
@@ -623,15 +672,15 @@ impl Server {
         lease_ttl_ms: u64,
         faults: Option<FaultSpec>,
     ) -> io::Result<Server> {
-        Self::bind_with_journal(store, addr, workers, token, lease_ttl_ms, faults, None)
+        let journal = JournalConfig::from_env();
+        Self::bind_with_journal(store, addr, workers, token, lease_ttl_ms, faults, journal)
     }
 
-    /// [`Server::bind_with_options`] plus an optional group-commit
-    /// journal. With `Some(config)` the write endpoints ack through one
-    /// fsync per batch (see the module docs), existing journal segments
-    /// under the store root are recovered before the first connection is
-    /// accepted, and a background compactor drains the journal on
-    /// `config.compact_interval` (and once more at shutdown).
+    /// The full-control bind: [`Server::bind_with_options`] with an
+    /// explicit [`JournalConfig`]. Journal segments already under the
+    /// store root are recovered before the first connection is
+    /// accepted, and the background compactor starts (see the module
+    /// docs).
     pub fn bind_with_journal(
         store: Arc<ResultStore>,
         addr: impl ToSocketAddrs,
@@ -639,18 +688,17 @@ impl Server {
         token: Option<String>,
         lease_ttl_ms: u64,
         faults: Option<FaultSpec>,
-        journal: Option<JournalConfig>,
+        journal: JournalConfig,
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stopping = Arc::new(AtomicBool::new(false));
         let broker = LeaseBroker::open(store.root())?;
-        let journal_tier = match journal {
-            Some(config) => Some(JournalTier {
-                journal: Journal::open(store.root(), config.options)?,
-                window: CommitWindow::new(config.commit_window),
-            }),
-            None => None,
+        let (compactor, wakes) = std::sync::mpsc::sync_channel(1);
+        let journal_tier = JournalTier {
+            journal: Journal::open(store.root(), JournalOptions::default())?,
+            window: CommitWindow::new(journal.commit_window),
+            compactor,
         };
         let shared = Arc::new(Shared {
             store,
@@ -690,16 +738,12 @@ impl Server {
             Arc::clone(&stopping),
         );
 
-        let compactor = journal.map(|config| {
-            let stop = Arc::new((Mutex::new(false), Condvar::new()));
-            let thread = {
-                let shared = Arc::clone(&shared);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    compactor_loop(&shared, &stop, config.compact_interval);
-                })
-            };
-            CompactorHandle { thread, stop }
+        // A token-less server never appends, so it needs a compactor
+        // only to drain the segments a crashed writer left behind.
+        let drain = shared.token.is_some() || shared.journal.journal.stats().segments > 0;
+        let compactor = drain.then(|| {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || compactor_loop(&shared, &wakes, journal.compact_interval))
         });
 
         Ok(Server {
@@ -727,23 +771,17 @@ impl Server {
         self.shared.token.is_some()
     }
 
-    /// Snapshot of the journal counters; `None` on a journal-less bind.
-    pub fn journal_stats(&self) -> Option<JournalStats> {
-        self.shared
-            .journal
-            .as_ref()
-            .map(|tier| tier.journal.stats())
+    /// Snapshot of the journal counters.
+    pub fn journal_stats(&self) -> JournalStats {
+        self.shared.journal.journal.stats()
     }
 
     /// Forces one journal compaction pass, returning the number of
-    /// records drained into the store (0, trivially, without a journal).
-    /// Tests and benches use this for deterministic drains; production
-    /// relies on the background compactor.
+    /// records drained into the store. Tests and benches use this for
+    /// deterministic drains; production relies on the background
+    /// compactor.
     pub fn compact_journal(&self) -> io::Result<u64> {
-        match &self.shared.journal {
-            Some(tier) => tier.journal.compact(&self.shared.store),
-            None => Ok(0),
-        }
+        self.shared.journal.journal.compact(&self.shared.store)
     }
 
     /// Stops accepting, drains in-flight connections, joins all threads.
@@ -763,31 +801,22 @@ impl Server {
         // act is one final compaction, so a graceful shutdown leaves an
         // empty journal (a crash leaves segments for recovery instead).
         if let Some(compactor) = self.compactor.take() {
-            *compactor.stop.0.lock().expect("compactor stop lock") = true;
-            compactor.stop.1.notify_all();
-            let _ = compactor.thread.join();
+            let _ = self.shared.journal.compactor.send(Wake::Stop);
+            let _ = compactor.join();
         }
     }
 }
 
 /// Body of the background compactor thread: drain the journal every
-/// `interval`, and once more when the stop signal arrives.
-fn compactor_loop(shared: &Shared, stop: &(Mutex<bool>, Condvar), interval: Duration) {
-    let Some(tier) = shared.journal.as_ref() else {
-        return;
-    };
-    let (flag, signal) = stop;
+/// `interval` or when the write path kicks it, and once more when the
+/// stop signal arrives.
+fn compactor_loop(shared: &Shared, wakes: &Receiver<Wake>, interval: Duration) {
     loop {
-        let mut stopped = flag.lock().expect("compactor stop lock");
-        if !*stopped {
-            stopped = signal
-                .wait_timeout(stopped, interval)
-                .expect("compactor stop wait")
-                .0;
-        }
-        let done = *stopped;
-        drop(stopped);
-        if let Err(err) = tier.journal.compact(&shared.store) {
+        let done = matches!(
+            wakes.recv_timeout(interval),
+            Ok(Wake::Stop) | Err(RecvTimeoutError::Disconnected)
+        );
+        if let Err(err) = shared.journal.journal.compact(&shared.store) {
             // Leaving records in the journal is safe (they are durable
             // and served from the index); just say why drains stalled.
             eprintln!("dri-serve: journal compaction failed: {err}");
@@ -1005,31 +1034,23 @@ pub(crate) fn respond(mut request: Request, torn: bool, shared: &Shared) -> Vec<
 /// durable was promised.
 pub(crate) fn crash_with_request(request: Option<&Request>, shared: &Shared) -> ! {
     if let Some(request) = request.filter(|r| r.method == "POST" && r.path == "/batch-put") {
-        if let Some(tier) = &shared.journal {
-            let body = match request.encoding.as_deref() {
-                Some(name) if name == compress::WIRE_ENCODING => {
-                    compress::decompress(&request.body, crate::http::MAX_BODY)
-                }
-                Some(_) => None,
-                None => Some(request.body.clone()),
-            };
-            let frames = body.as_deref().and_then(parse_push_frames);
-            if let Some(frames) = frames {
-                let entries: Vec<JournalEntry> = frames
-                    .into_iter()
-                    .filter_map(|(kind, schema, key, record)| {
-                        validate_record(record, schema, key).map(|payload| JournalEntry {
-                            kind,
-                            schema,
-                            key,
-                            payload: payload.to_vec(),
-                        })
+        let body = decode_push_body(request, &shared.stats).ok();
+        let frames = body.as_deref().and_then(parse_push_frames);
+        if let Some(frames) = frames {
+            let entries: Vec<JournalEntry> = frames
+                .into_iter()
+                .filter_map(|(kind, schema, key, record)| {
+                    validate_record(record, schema, key).map(|payload| JournalEntry {
+                        kind,
+                        schema,
+                        key,
+                        payload: payload.to_vec(),
                     })
-                    .collect();
-                if !entries.is_empty() {
-                    let keep = (request.body.len() / 2).max(1);
-                    let _ = tier.journal.simulate_torn_append(&entries, keep);
-                }
+                })
+                .collect();
+            if !entries.is_empty() {
+                let keep = (request.body.len() / 2).max(1);
+                let _ = shared.journal.journal.simulate_torn_append(&entries, keep);
             }
         }
     }
@@ -1105,12 +1126,10 @@ fn route(request: &Request, shared: &Shared) -> Response {
 /// store. Journal payloads are re-framed with [`frame_record`], so the
 /// client's end-to-end re-validation works identically for both tiers.
 fn serve_record(kind: &str, schema: u32, key: u128, shared: &Shared) -> Option<Vec<u8>> {
-    if let Some(tier) = &shared.journal {
-        if let Some(payload) = tier.journal.lookup(kind, schema, key) {
-            return Some(frame_record(schema, key, &payload));
-        }
+    match shared.journal.journal.lookup(kind, schema, key) {
+        Some(payload) => Some(frame_record(schema, key, &payload)),
+        None => shared.store.load_record_bytes(kind, schema, key),
     }
-    shared.store.load_record_bytes(kind, schema, key)
 }
 
 /// Resolves the wire encoding of a write body: absent means raw (the
@@ -1182,10 +1201,10 @@ fn authorize(request: &Request, shared: &Shared) -> Result<(), Response> {
 
 /// `PUT /record/<kind>/v<schema>/<key>`: accepts one complete record
 /// (header + payload + checksum, as [`dri_store::frame_record`] builds
-/// it), re-validates it against the *path's* schema and key, and lands
-/// the payload through the store's atomic temp+rename write — racing GC
-/// and concurrent readers observe either the old record or the new one,
-/// never a torn write.
+/// it), re-validates it against the *path's* schema and key, and
+/// commits the payload to the journal, waiting out the commit window so
+/// concurrent `PUT`s share one fsync. The `200` is sent only after that
+/// fsync: an ack is a durability promise.
 fn put_record(request: &Request, shared: &Shared) -> Response {
     let stats = &shared.stats;
     stats.push_round_trips.inc();
@@ -1214,45 +1233,37 @@ fn put_record(request: &Request, shared: &Shared) -> Response {
             b"record too large\n".to_vec(),
         );
     }
-    match validate_record(&body, schema, key) {
-        Some(payload) => {
-            if let Some(tier) = &shared.journal {
-                // Group-commit: wait out the window so concurrent PUTs
-                // share one fsync; the ack below is a durability promise.
-                let entry = JournalEntry {
-                    kind,
-                    schema,
-                    key,
-                    payload: payload.to_vec(),
-                };
-                if tier
-                    .window
-                    .submit(&tier.journal, vec![entry], true)
-                    .is_err()
-                {
-                    return (
-                        500,
-                        "Internal Server Error",
-                        "text/plain",
-                        b"journal write failed\n".to_vec(),
-                    );
-                }
-            } else {
-                shared.store.save(&kind, schema, key, payload);
-            }
-            stats.records_accepted.inc();
-            (200, "OK", "text/plain", b"accepted\n".to_vec())
-        }
-        None => {
-            stats.writes_rejected.inc();
-            (
-                400,
-                "Bad Request",
-                "text/plain",
-                b"corrupt or key-mismatched record\n".to_vec(),
-            )
-        }
+    let Some(payload) = validate_record(&body, schema, key) else {
+        stats.writes_rejected.inc();
+        return (
+            400,
+            "Bad Request",
+            "text/plain",
+            b"corrupt or key-mismatched record\n".to_vec(),
+        );
+    };
+    let entry = JournalEntry {
+        kind,
+        schema,
+        key,
+        payload: payload.to_vec(),
+    };
+    if shared.journal.commit(vec![entry], true).is_err() {
+        return journal_write_failed();
     }
+    stats.records_accepted.inc();
+    (200, "OK", "text/plain", b"accepted\n".to_vec())
+}
+
+/// The `500` a write answers when its journal append failed: nothing
+/// was acked, so the client may retry (saves are idempotent).
+fn journal_write_failed() -> Response {
+    (
+        500,
+        "Internal Server Error",
+        "text/plain",
+        b"journal write failed\n".to_vec(),
+    )
 }
 
 /// One parsed `/batch-put` frame: where the record claims to live, and
@@ -1294,7 +1305,12 @@ fn parse_push_frames(body: &[u8]) -> Option<Vec<PushFrame<'_>>> {
 /// `POST /batch-put`: a framed multi-record upload. The response body is
 /// one status byte per frame, in order (`1` accepted, `0` rejected), so
 /// a corrupt, key-mismatched, or oversized record fails **only its own
-/// entry** — the rest of the batch still lands.
+/// entry** — the rest of the batch still lands. Every validated frame
+/// rides **one** journal frame and **one** fsync (plus whatever single
+/// `PUT`s were queued in the commit window when this batch drained it),
+/// so acceptance is all-or-nothing *within the accepted set*: if the
+/// append fails, nothing was acked and the client retries the whole
+/// batch.
 fn batch_put(request: &Request, shared: &Shared) -> Response {
     let stats = &shared.stats;
     stats.push_round_trips.inc();
@@ -1314,45 +1330,9 @@ fn batch_put(request: &Request, shared: &Shared) -> Response {
             b"bad batch-put body\n".to_vec(),
         );
     };
-    if let Some(tier) = &shared.journal {
-        return batch_put_journaled(frames, tier, stats);
-    }
-    let mut outcomes = Vec::with_capacity(frames.len());
-    for (kind, schema, key, record) in frames {
-        let payload = (record.len() <= MAX_PUSH_RECORD)
-            .then(|| validate_record(record, schema, key))
-            .flatten();
-        match payload {
-            Some(payload) => {
-                shared.store.save(&kind, schema, key, payload);
-                stats.records_accepted.inc();
-                outcomes.push(1u8);
-            }
-            None => {
-                stats.writes_rejected.inc();
-                outcomes.push(0u8);
-            }
-        }
-    }
-    (200, "OK", "application/octet-stream", outcomes)
-}
-
-/// The journaled `/batch-put` path: every validated frame in the batch
-/// rides **one** journal frame and **one** fsync (plus whatever single
-/// PUTs were queued in the commit window when this batch drained it).
-/// The per-entry response semantics are unchanged — a corrupt frame
-/// fails only itself — but acceptance is now all-or-nothing *within the
-/// accepted set*: if the append fails, nothing was acked and the client
-/// retries the whole batch (saves are idempotent, so replays are free).
-fn batch_put_journaled(
-    frames: Vec<PushFrame<'_>>,
-    tier: &JournalTier,
-    stats: &AtomicServeStats,
-) -> Response {
     let mut outcomes = vec![0u8; frames.len()];
     let mut entries = Vec::new();
-    let mut accepted = Vec::new();
-    for (slot, (kind, schema, key, record)) in frames.into_iter().enumerate() {
+    for (outcome, (kind, schema, key, record)) in outcomes.iter_mut().zip(frames) {
         let payload = (record.len() <= MAX_PUSH_RECORD)
             .then(|| validate_record(record, schema, key))
             .flatten();
@@ -1364,25 +1344,17 @@ fn batch_put_journaled(
                     key,
                     payload: payload.to_vec(),
                 });
-                accepted.push(slot);
+                *outcome = 1;
             }
             None => stats.writes_rejected.inc(),
         }
     }
     if !entries.is_empty() {
         let landed = entries.len() as u64;
-        if tier.window.submit(&tier.journal, entries, false).is_err() {
-            return (
-                500,
-                "Internal Server Error",
-                "text/plain",
-                b"journal write failed\n".to_vec(),
-            );
+        if shared.journal.commit(entries, false).is_err() {
+            return journal_write_failed();
         }
         stats.records_accepted.add(landed);
-        for slot in accepted {
-            outcomes[slot] = 1;
-        }
     }
     (200, "OK", "application/octet-stream", outcomes)
 }
@@ -1688,12 +1660,7 @@ fn stats_json(shared: &Shared) -> Vec<u8> {
     let usage = shared.disk_usage();
     let snap = shared.stats.snapshot();
     let traffic = store.stats();
-    let journal_enabled = shared.journal.is_some();
-    let journal = shared
-        .journal
-        .as_ref()
-        .map(|tier| tier.journal.stats())
-        .unwrap_or_default();
+    let journal = shared.journal.journal.stats();
     format!(
         "{{\"records\":{},\"bytes\":{},\"generation\":{},\"writable\":{},\
          \"requests\":{},\"hits\":{},\"misses\":{},\
@@ -1703,7 +1670,7 @@ fn stats_json(shared: &Shared) -> Vec<u8> {
          \"leases\":{{\"claims\":{},\"granted\":{},\"reclaimed\":{},\
          \"renewed\":{},\"completed\":{},\"rejected\":{}}},\
          \"store\":{{\"hits\":{},\"misses\":{},\"corrupt\":{}}},\
-         \"journal\":{{\"enabled\":{},\"depth\":{},\"batches\":{},\
+         \"journal\":{{\"enabled\":true,\"depth\":{},\"batches\":{},\
          \"appended\":{},\"fsyncs\":{},\"compactions\":{},\"compacted\":{}}},\
          \"event_loop\":{{\"enabled\":{},\"accepted\":{},\"read_events\":{},\
          \"write_events\":{},\"backpressure\":{},\"idle_reaped\":{},\"open\":{}}},\
@@ -1731,7 +1698,6 @@ fn stats_json(shared: &Shared) -> Vec<u8> {
         traffic.hits,
         traffic.misses,
         traffic.corrupt,
-        journal_enabled,
         journal.depth,
         journal.batches,
         journal.appended,
@@ -1766,15 +1732,13 @@ fn metrics_text(shared: &Shared) -> Vec<u8> {
         stats.ring_shards.set(shards);
         stats.ring_replicas.set(replicas);
     }
-    if let Some(tier) = &shared.journal {
-        let journal = tier.journal.stats();
-        stats.journal_depth.set(journal.depth);
-        stats.journal_batches.set(journal.batches);
-        stats.journal_appended.set(journal.appended);
-        stats.journal_fsyncs.set(journal.fsyncs);
-        stats.journal_compactions.set(journal.compactions);
-        stats.journal_compacted.set(journal.compacted);
-    }
+    let journal = shared.journal.journal.stats();
+    stats.journal_depth.set(journal.depth);
+    stats.journal_batches.set(journal.batches);
+    stats.journal_appended.set(journal.appended);
+    stats.journal_fsyncs.set(journal.fsyncs);
+    stats.journal_compactions.set(journal.compactions);
+    stats.journal_compacted.set(journal.compacted);
     let mut text = stats.registry.render_prometheus();
     // The store's disk-tier latency histograms live in the process-wide
     // registry (every ResultStore handle shares them); append them so

@@ -50,7 +50,6 @@ fn spawn_server(root: &PathBuf, token: &str, fault: Option<&str>) -> (Child, Str
         .arg("--workers")
         .arg("2")
         .env("DRI_TOKEN", token)
-        .env("DRI_JOURNAL", "1")
         .env_remove("DRI_FAULT")
         .stdout(Stdio::piped())
         .stderr(Stdio::null());
@@ -162,7 +161,6 @@ fn journaled_pushes_read_through_before_and_after_compaction() {
     let config = JournalConfig {
         commit_window: Duration::ZERO,
         compact_interval: Duration::from_secs(3600),
-        ..JournalConfig::default()
     };
     let server = Server::bind_with_journal(
         Arc::clone(&store),
@@ -171,7 +169,7 @@ fn journaled_pushes_read_through_before_and_after_compaction() {
         Some(token.to_owned()),
         30_000,
         None,
-        Some(config),
+        config,
     )
     .expect("bind");
     let client = RemoteStore::with_token(server.addr().to_string(), Some(token.to_owned()));
@@ -184,7 +182,7 @@ fn journaled_pushes_read_through_before_and_after_compaction() {
 
     // One fsync bought the whole batch, and reads hit the journal index
     // (nothing has been compacted into record files yet).
-    let stats = server.journal_stats().expect("journal enabled");
+    let stats = server.journal_stats();
     assert_eq!(stats.batches, 1, "one group-commit batch");
     assert_eq!(stats.fsyncs, 1, "one fsync for the whole batch");
     assert_eq!(stats.depth, 8, "all records still journal-resident");
@@ -199,7 +197,7 @@ fn journaled_pushes_read_through_before_and_after_compaction() {
     // Compaction drains the journal into record files; reads now fall
     // through to the store and the bytes are unchanged.
     assert_eq!(server.compact_journal().expect("compact"), 8);
-    let stats = server.journal_stats().expect("journal enabled");
+    let stats = server.journal_stats();
     assert_eq!(stats.depth, 0, "journal drained");
     assert_eq!(stats.compacted, 8);
     for (i, (k, _)) in batch.iter().enumerate() {

@@ -10,7 +10,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use dri_serve::{auth, PushOutcome, RemoteStore, Server};
-use dri_store::{frame_record, validate_record, ResultStore};
+use dri_store::{
+    frame_record, validate_record, Journal, JournalEntry, JournalOptions, ResultStore,
+};
 
 fn temp_root(tag: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("dri-serve-test-{tag}-{}", std::process::id()));
@@ -203,6 +205,7 @@ fn the_service_is_read_only_by_default() {
         let status = raw_request(server.addr(), &request).0;
         assert_eq!(status, 405, "{request}");
     }
+    assert_eq!(server.compact_journal().expect("compact"), 0);
     assert_eq!(store.disk_usage(), before, "nothing landed");
     assert_eq!(server.stats().records_accepted, 0);
     // The three write-endpoint attempts (signed PUT, bare PUT,
@@ -388,6 +391,10 @@ fn batch_put_fails_only_the_corrupt_entry() {
     let stats = server.stats();
     assert_eq!(stats.records_accepted, 2);
     assert_eq!(stats.writes_rejected, 2);
+    // Accepted records are acked out of the journal; drain it so the
+    // store shows exactly what landed, one store write per record.
+    server.compact_journal().expect("compact");
+    assert_eq!(store.stats().writes, 2);
     assert_eq!(store.load("dri", 1, 1).as_deref(), Some(&b"first"[..]));
     assert_eq!(
         store.load("dri", 1, 2),
@@ -431,6 +438,7 @@ fn batch_put_rejects_structural_damage_and_over_cap_wholesale() {
         String::from_utf8_lossy(&response).starts_with("HTTP/1.1 400"),
         "over-cap batches bounce wholesale"
     );
+    assert_eq!(server.compact_journal().expect("compact"), 0);
     assert_eq!(store.disk_usage().records, 0);
 
     // A truncated frame stream (signed, authenticated) is also a 400.
@@ -458,10 +466,48 @@ fn batch_put_rejects_structural_damage_and_over_cap_wholesale() {
     let huge = frame_record(1, 11, &vec![0u8; dri_serve::server::MAX_PUSH_RECORD + 1]);
     let (outcomes, _) = remote.push_batch(&[("dri", 1, 10, &good), ("dri", 1, 11, &huge)]);
     assert_eq!(outcomes, vec![PushOutcome::Accepted, PushOutcome::Rejected]);
+    server.compact_journal().expect("compact");
     assert_eq!(store.load("dri", 1, 10).as_deref(), Some(&b"fits"[..]));
     assert_eq!(store.load("dri", 1, 11), None);
 
     server.shutdown();
+    let _ = fs::remove_dir_all(root);
+}
+
+#[test]
+fn a_read_only_server_serves_what_a_crashed_writer_acked() {
+    // A writer acked a batch into the journal and died before
+    // compacting: its live segment holds the only copy.
+    let root = temp_root("recover-readonly");
+    let entry = |key: u128, payload: &[u8]| JournalEntry {
+        kind: "dri".to_owned(),
+        schema: 1,
+        key,
+        payload: payload.to_vec(),
+    };
+    Journal::open(&root, JournalOptions::default())
+        .expect("journal")
+        .append_batch(vec![entry(0x51, b"acked one"), entry(0x52, b"acked two")])
+        .expect("append");
+
+    let store = Arc::new(ResultStore::open(&root).expect("open store"));
+    let server = Server::bind(Arc::clone(&store), "127.0.0.1:0", 2).expect("bind");
+    let request = format!(
+        "GET /record/dri/v1/{:032x} HTTP/1.1\r\nHost: t\r\n\r\n",
+        0x51
+    );
+    let (status, body) = raw_request(server.addr(), &request);
+    assert_eq!(status, 200, "the acked record is served");
+    assert_eq!(body, frame_record(1, 0x51, b"acked one"), "byte-identical");
+    let remote = RemoteStore::new(server.addr().to_string());
+    let fetched = remote.fetch_batch(&[("dri", 1, 0x52), ("dri", 1, 0x53)]);
+    assert_eq!(fetched, vec![Some(b"acked two".to_vec()), None]);
+    // Shutdown's final compaction lands the records in the store.
+    server.shutdown();
+    assert_eq!(
+        store.load("dri", 1, 0x52).as_deref(),
+        Some(&b"acked two"[..])
+    );
     let _ = fs::remove_dir_all(root);
 }
 

@@ -518,7 +518,7 @@ mod tests {
         drop(journal);
         let reopened = Journal::open(store.root(), JournalOptions::default()).unwrap();
         assert_eq!(
-            reopened.lookup("dri", 1, 0xacc).as_deref().map(|p| &p[..]),
+            reopened.lookup("dri", 1, 0xacc).as_deref(),
             Some(&b"acked, not yet compacted"[..]),
             "gc never disturbs a live journal segment"
         );

@@ -34,10 +34,19 @@
 //! frame is all-or-nothing, and an unacked batch can never surface a
 //! subset of its records after recovery.
 //!
+//! ## The index
+//!
+//! The in-memory index maps each acked record to the frame that carries
+//! it — segment, offset, length, and position in the frame — never to
+//! the payload itself: a journal read re-reads and re-validates that one
+//! frame, and compaction re-reads whole segments. The journal's memory
+//! is therefore a few dozen bytes per record, however large the
+//! payloads and however long they wait for compaction.
+//!
 //! ## Recovery
 //!
-//! [`Journal::open`] replays every segment in sequence order into an
-//! in-memory index, stopping a segment's scan at the first invalid
+//! [`Journal::open`] replays every segment in sequence order into the
+//! index, stopping a segment's scan at the first invalid
 //! frame (torn tail, bit flip, short header — anything the checksum or
 //! bounds checks reject). Recovered segments are immediately eligible
 //! for compaction, so a crashed server's journal drains into ordinary
@@ -46,11 +55,13 @@
 //! ## Compaction
 //!
 //! [`Journal::compact`] seals the active segment, snapshots the index,
-//! writes every entry through the store's atomic per-record path (off
-//! the ack path, where per-record fsyncs are harmless), then removes
-//! exactly the entries whose payload `Arc` is still the snapshotted one
-//! — a record re-pushed with different bytes *during* compaction keeps
-//! its newer journal entry. Drained segments are renamed to
+//! re-reads the sealed segments and writes the newest copy of every
+//! indexed record through the store's atomic per-record path (off the
+//! ack path, where per-record fsyncs are harmless, and counted in the
+//! store's `writes` and save-latency histogram like any save), then
+//! removes exactly the index entries that still point where the
+//! snapshot did — a record re-pushed *during* compaction keeps its
+//! newer journal entry. Drained segments are renamed to
 //! `seg-<seq>.wal.compacted` and unlinked; a crash between the two
 //! leaves debris the GC walker classifies and sweeps ([`crate::gc`]),
 //! while a crash *before* the rename merely re-compacts identical bytes
@@ -58,10 +69,10 @@
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use dri_telemetry::{Histogram, Registry, Span};
@@ -160,27 +171,51 @@ struct AtomicJournalStats {
 /// The segment currently receiving appends.
 #[derive(Debug)]
 struct ActiveSegment {
-    path: PathBuf,
+    seq: u64,
     file: File,
     bytes: u64,
 }
 
-/// One indexed record: its `(kind, schema, key)` identity plus payload
-/// (the shape compaction snapshots out of the index).
-type IndexedRecord = ((String, u32, u128), Arc<Vec<u8>>);
+/// Where an indexed record lives: entry `entry` of the `len`-byte frame
+/// at `offset` in segment `seq`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    seq: u64,
+    offset: u64,
+    len: u32,
+    entry: u32,
+}
+
+/// The records of one kind, by `(schema, key)`.
+type KindIndex = HashMap<(u32, u128), Slot>;
 
 #[derive(Debug, Default)]
 struct Inner {
-    /// Every record acked-but-not-compacted, newest payload per key.
-    /// `Arc` so compaction can snapshot without copying payloads and
-    /// later prove (by pointer identity) an entry was not re-pushed
-    /// while it drained.
-    index: HashMap<(String, u32, u128), Arc<Vec<u8>>>,
+    /// Where the newest copy of every acked-but-not-compacted record
+    /// lives, grouped by kind so a lookup borrows its kind instead of
+    /// allocating a key.
+    index: HashMap<String, KindIndex>,
     active: Option<ActiveSegment>,
-    /// Sealed segments (rotation, append errors, recovery) awaiting
-    /// compaction, oldest first.
-    sealed: Vec<PathBuf>,
+    /// Sequence numbers of sealed segments (rotation, append errors,
+    /// recovery) awaiting compaction, oldest first.
+    sealed: Vec<u64>,
     next_seq: u64,
+}
+
+impl Inner {
+    fn insert(&mut self, entry: JournalEntry, slot: Slot) {
+        self.index
+            .entry(entry.kind)
+            .or_default()
+            .insert((entry.schema, entry.key), slot);
+    }
+
+    fn depth(&self) -> u64 {
+        self.index
+            .values()
+            .map(|records| records.len() as u64)
+            .sum()
+    }
 }
 
 /// A group-commit write journal over one store root. See the module
@@ -190,6 +225,9 @@ pub struct Journal {
     dir: PathBuf,
     options: JournalOptions,
     inner: Mutex<Inner>,
+    /// Held for a whole compaction pass: concurrent passes would write
+    /// the same records twice.
+    compacting: Mutex<()>,
     stats: AtomicJournalStats,
     fsync_latency: Histogram,
     compact_latency: Histogram,
@@ -198,15 +236,17 @@ pub struct Journal {
 impl Journal {
     /// Opens the journal under `store_root`, replaying every existing
     /// segment (in sequence order, stopping each at its first invalid
-    /// frame) into the read index.
+    /// frame) into the read index. The journal directory is created by
+    /// the first append, so opening never writes: a journal that is
+    /// only ever read works on a root its process cannot write to.
     pub fn open(store_root: &Path, options: JournalOptions) -> io::Result<Journal> {
         let dir = store_root.join(JOURNAL_DIR);
-        fs::create_dir_all(&dir)?;
         let registry = Registry::global();
         let journal = Journal {
             dir,
             options,
             inner: Mutex::new(Inner::default()),
+            compacting: Mutex::new(()),
             stats: AtomicJournalStats::default(),
             fsync_latency: registry.histogram(
                 "dri_journal_fsync_ns",
@@ -224,8 +264,13 @@ impl Journal {
     /// Replays existing segments into the index. Only called from
     /// [`Journal::open`], before the journal is shared.
     fn recover(&self) -> io::Result<()> {
+        let listing = match fs::read_dir(&self.dir) {
+            Ok(listing) => listing,
+            Err(err) if err.kind() == io::ErrorKind::NotFound => return Ok(()),
+            Err(err) => return Err(err),
+        };
         let mut segments = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
+        for entry in listing {
             let path = entry?.path();
             let name = match path.file_name().and_then(|n| n.to_str()) {
                 Some(name) => name,
@@ -244,22 +289,15 @@ impl Journal {
         let mut recovered = 0u64;
         for (seq, path) in segments {
             let bytes = fs::read(&path)?;
-            let mut at = 0usize;
-            while let Some((entries, frame_len)) = decode_frame(&bytes, at) {
-                for entry in entries {
-                    inner.index.insert(
-                        (entry.kind, entry.schema, entry.key),
-                        Arc::new(entry.payload),
-                    );
-                    recovered += 1;
-                }
-                at += frame_len;
-            }
-            // A valid prefix was replayed; anything after `at` is a torn
+            for_each_entry(seq, &bytes, |entry, slot| {
+                inner.insert(entry, slot);
+                recovered += 1;
+            });
+            // A valid prefix was replayed; anything after it is a torn
             // or corrupt tail and is dropped when compaction drains the
             // segment. Never append after a torn tail: the segment is
             // sealed as-is and a fresh one takes the writes.
-            inner.sealed.push(path);
+            inner.sealed.push(seq);
             inner.next_seq = inner.next_seq.max(seq + 1);
         }
         self.stats.recovered.store(recovered, Ordering::Relaxed);
@@ -282,31 +320,40 @@ impl Journal {
             return Ok(());
         }
         let frame = encode_frame(&entries, self.options.compress);
+        let len = u32::try_from(frame.len())
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "journal frame too large"))?;
         let started = Instant::now();
         let mut inner = self.inner.lock().expect("journal lock");
-        let result: io::Result<()> = (|| {
+        let result: io::Result<(u64, u64)> = (|| {
             let active = self.active_segment(&mut inner, frame.len() as u64)?;
+            let offset = active.bytes;
             active.file.write_all(&frame)?;
             active.file.sync_data()?;
             active.bytes += frame.len() as u64;
-            Ok(())
+            Ok((active.seq, offset))
         })();
         self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
-        if let Err(err) = result {
-            if let Some(active) = inner.active.take() {
-                inner.sealed.push(active.path);
+        let (seq, offset) = match result {
+            Ok(at) => at,
+            Err(err) => {
+                if let Some(active) = inner.active.take() {
+                    inner.sealed.push(active.seq);
+                }
+                return Err(err);
             }
-            return Err(err);
-        }
+        };
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
         self.stats
             .appended
             .fetch_add(entries.len() as u64, Ordering::Relaxed);
-        for entry in entries {
-            inner.index.insert(
-                (entry.kind, entry.schema, entry.key),
-                Arc::new(entry.payload),
-            );
+        for (entry, position) in entries.into_iter().zip(0u32..) {
+            let slot = Slot {
+                seq,
+                offset,
+                len,
+                entry: position,
+            };
+            inner.insert(entry, slot);
         }
         drop(inner);
         self.fsync_latency.record_duration(started.elapsed());
@@ -328,7 +375,7 @@ impl Journal {
         active.file.sync_data()?;
         self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
         if let Some(active) = inner.active.take() {
-            inner.sealed.push(active.path);
+            inner.sealed.push(active.seq);
         }
         Ok(())
     }
@@ -348,17 +395,23 @@ impl Journal {
         };
         if rotate {
             if let Some(active) = inner.active.take() {
-                inner.sealed.push(active.path);
+                inner.sealed.push(active.seq);
+            }
+            if !self.dir.is_dir() {
+                fs::create_dir_all(&self.dir)?;
+                sync_dir(self.dir.parent().expect("the journal dir has a parent"))?;
             }
             let seq = inner.next_seq;
             inner.next_seq += 1;
-            let path = self.dir.join(format!("seg-{seq:016x}{SEGMENT_SUFFIX}"));
             let file = OpenOptions::new()
                 .create_new(true)
                 .append(true)
-                .open(&path)?;
+                .open(self.segment_path(seq))?;
+            // The segment's directory entry must be as durable as the
+            // frames acked from it.
+            sync_dir(&self.dir)?;
             inner.active = Some(ActiveSegment {
-                path,
+                seq,
                 file,
                 bytes: 0,
             });
@@ -366,22 +419,39 @@ impl Journal {
         Ok(inner.active.as_mut().expect("active segment after rotate"))
     }
 
+    fn segment_path(&self, seq: u64) -> PathBuf {
+        self.dir.join(format!("seg-{seq:016x}{SEGMENT_SUFFIX}"))
+    }
+
     /// The payload for `(kind, schema, key)` if the journal still holds
     /// it — the read tier in front of the store: a record is visible
     /// here from the moment its batch's fsync returned until compaction
-    /// lands it in a record file.
-    pub fn lookup(&self, kind: &str, schema: u32, key: u128) -> Option<Arc<Vec<u8>>> {
-        let inner = self.inner.lock().expect("journal lock");
-        // A borrowed-tuple probe would need `Borrow` gymnastics; the
-        // index is small (it drains every compaction interval), so an
-        // owned key probe is fine on this path.
-        inner.index.get(&(kind.to_owned(), schema, key)).cloned()
+    /// lands it in a record file. The payload is re-read from its frame
+    /// (checksum included); `None` also when compaction unlinked the
+    /// segment meanwhile, by which time the store holds the record.
+    pub fn lookup(&self, kind: &str, schema: u32, key: u128) -> Option<Vec<u8>> {
+        let slot = *self
+            .inner
+            .lock()
+            .expect("journal lock")
+            .index
+            .get(kind)?
+            .get(&(schema, key))?;
+        let mut file = File::open(self.segment_path(slot.seq)).ok()?;
+        file.seek(SeekFrom::Start(slot.offset)).ok()?;
+        let mut frame = vec![0u8; slot.len as usize];
+        file.read_exact(&mut frame).ok()?;
+        let (entries, _) = decode_frame(&frame, 0)?;
+        entries
+            .into_iter()
+            .nth(slot.entry as usize)
+            .map(|entry| entry.payload)
     }
 
     /// Records currently readable from the journal (acked, not yet
     /// compacted).
     pub fn depth(&self) -> u64 {
-        self.inner.lock().expect("journal lock").index.len() as u64
+        self.inner.lock().expect("journal lock").depth()
     }
 
     /// A point-in-time stats snapshot.
@@ -389,7 +459,7 @@ impl Journal {
         let inner = self.inner.lock().expect("journal lock");
         let segments = inner.sealed.len() as u64 + u64::from(inner.active.is_some());
         JournalStats {
-            depth: inner.index.len() as u64,
+            depth: inner.depth(),
             segments,
             batches: self.stats.batches.load(Ordering::Relaxed),
             appended: self.stats.appended.load(Ordering::Relaxed),
@@ -401,14 +471,16 @@ impl Journal {
     }
 
     /// Drains the journal into `store`: seals the active segment,
-    /// writes every indexed record through the store's atomic
-    /// per-record path, removes the entries that were not re-pushed
-    /// meanwhile, and unlinks the drained segments (via a `.compacted`
-    /// rename, so a crash mid-sweep leaves classifiable debris).
+    /// writes the newest copy of every indexed record through the
+    /// store's atomic per-record path, removes the entries that were
+    /// not re-pushed meanwhile, and unlinks the drained segments (via a
+    /// `.compacted` rename, so a crash mid-sweep leaves classifiable
+    /// debris).
     /// Returns the number of records drained. On a store write error
     /// nothing is forgotten: index and segments stay put and the next
     /// pass retries idempotently.
     pub fn compact(&self, store: &ResultStore) -> io::Result<u64> {
+        let _pass = self.compacting.lock().expect("compaction lock");
         let mut inner = self.inner.lock().expect("journal lock");
         if inner.active.is_none() && inner.sealed.is_empty() {
             return Ok(0);
@@ -416,38 +488,47 @@ impl Journal {
         let started = Instant::now();
         let span = Span::begin("journal", "compact");
         if let Some(active) = inner.active.take() {
-            inner.sealed.push(active.path);
+            inner.sealed.push(active.seq);
         }
-        let snapshot: Vec<IndexedRecord> = inner
-            .index
-            .iter()
-            .map(|(key, payload)| (key.clone(), Arc::clone(payload)))
-            .collect();
-        let segments: Vec<PathBuf> = inner.sealed.clone();
+        let snapshot = inner.index.clone();
+        let segments = inner.sealed.clone();
         drop(inner);
 
-        // Per-record fsyncs happen here, off the ack path, one writer.
-        for ((kind, schema, key), payload) in &snapshot {
-            store.try_save(kind, *schema, *key, payload)?;
+        // Per-record fsyncs happen here, off the ack path, one pass at a
+        // time. Older copies of a re-pushed record are skipped.
+        let mut drained = 0u64;
+        for &seq in &segments {
+            let bytes = fs::read(self.segment_path(seq))?;
+            let mut saved = Ok(());
+            for_each_entry(seq, &bytes, |entry, slot| {
+                let newest = snapshot
+                    .get(&entry.kind)
+                    .and_then(|records| records.get(&(entry.schema, entry.key)));
+                if saved.is_ok() && newest == Some(&slot) {
+                    saved = store.try_save(&entry.kind, entry.schema, entry.key, &entry.payload);
+                    drained += 1;
+                }
+            });
+            saved?;
         }
 
         let mut inner = self.inner.lock().expect("journal lock");
-        for (key, payload) in &snapshot {
-            // Pointer identity proves the indexed value is the one we
-            // just persisted; a concurrent re-push swapped the Arc and
-            // must stay visible until the *next* compaction.
-            if inner
-                .index
-                .get(key)
-                .is_some_and(|held| Arc::ptr_eq(held, payload))
-            {
-                inner.index.remove(key);
+        for (kind, records) in &snapshot {
+            let Some(held) = inner.index.get_mut(kind) else {
+                continue;
+            };
+            for (id, slot) in records {
+                // A concurrent re-push moved the entry to a newer slot,
+                // which must stay visible until the *next* compaction.
+                if held.get(id) == Some(slot) {
+                    held.remove(id);
+                }
             }
         }
-        inner.sealed.retain(|path| !segments.contains(path));
+        inner.sealed.retain(|seq| !segments.contains(seq));
         drop(inner);
 
-        for path in &segments {
+        for path in segments.iter().map(|&seq| self.segment_path(seq)) {
             let tomb = path.with_extension("wal.compacted");
             // Best-effort: a failure at either step leaves a file the
             // GC walker classifies (live `.wal` or `.compacted` debris).
@@ -457,14 +538,12 @@ impl Journal {
         }
 
         self.stats.compactions.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .compacted
-            .fetch_add(snapshot.len() as u64, Ordering::Relaxed);
+        self.stats.compacted.fetch_add(drained, Ordering::Relaxed);
         self.compact_latency.record_duration(started.elapsed());
-        span.label("records", &snapshot.len().to_string())
+        span.label("records", &drained.to_string())
             .label("segments", &segments.len().to_string())
             .finish("drained");
-        Ok(snapshot.len() as u64)
+        Ok(drained)
     }
 }
 
@@ -473,6 +552,35 @@ impl Journal {
 fn segment_seq(name: &str) -> Option<u64> {
     let hex = name.strip_prefix("seg-")?.strip_suffix(SEGMENT_SUFFIX)?;
     (hex.len() == 16).then(|| u64::from_str_radix(hex, 16).ok())?
+}
+
+/// Makes a directory's entries durable (a no-op where directories
+/// cannot be opened as files).
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    if cfg!(unix) {
+        File::open(dir)?.sync_all()?;
+    }
+    Ok(())
+}
+
+/// Calls `visit` with every entry of the valid frame prefix of segment
+/// `seq` (whose bytes are `bytes`) and the slot it sits at.
+fn for_each_entry(seq: u64, bytes: &[u8], mut visit: impl FnMut(JournalEntry, Slot)) {
+    let mut at = 0usize;
+    while let Some((entries, frame_len)) = decode_frame(bytes, at) {
+        for (entry, position) in entries.into_iter().zip(0u32..) {
+            let slot = Slot {
+                seq,
+                offset: at as u64,
+                // `decode_frame` caps a frame at MAX_FRAME_BODY plus its
+                // head and checksum, far below `u32::MAX`.
+                len: frame_len as u32,
+                entry: position,
+            };
+            visit(entry, slot);
+        }
+        at += frame_len;
+    }
 }
 
 /// Encodes one batch as a self-validating frame (see the module docs).
@@ -613,10 +721,7 @@ mod tests {
         journal
             .append_batch(vec![entry("decay", 1, b"other kind")])
             .expect("append");
-        assert_eq!(
-            journal.lookup("dri", 1, 1).as_deref().map(|p| &p[..]),
-            Some(&b"one"[..])
-        );
+        assert_eq!(journal.lookup("dri", 1, 1).as_deref(), Some(&b"one"[..]));
         assert_eq!(journal.lookup("dri", 1, 9), None);
         assert_eq!(journal.depth(), 3);
         let stats = journal.stats();
@@ -627,7 +732,7 @@ mod tests {
         assert_eq!(reopened.depth(), 3);
         assert_eq!(reopened.stats().recovered, 3);
         assert_eq!(
-            reopened.lookup("decay", 1, 1).as_deref().map(|p| &p[..]),
+            reopened.lookup("decay", 1, 1).as_deref(),
             Some(&b"other kind"[..])
         );
         let _ = fs::remove_dir_all(root);
@@ -640,17 +745,11 @@ mod tests {
         journal.append_batch(vec![entry("dri", 5, b"old")]).unwrap();
         journal.append_batch(vec![entry("dri", 5, b"new")]).unwrap();
         assert_eq!(journal.depth(), 1, "one key, one entry");
-        assert_eq!(
-            journal.lookup("dri", 1, 5).as_deref().map(|p| &p[..]),
-            Some(&b"new"[..])
-        );
+        assert_eq!(journal.lookup("dri", 1, 5).as_deref(), Some(&b"new"[..]));
         // Recovery replays in order, so the newest payload still wins.
         drop(journal);
         let reopened = Journal::open(&root, JournalOptions::default()).expect("reopen");
-        assert_eq!(
-            reopened.lookup("dri", 1, 5).as_deref().map(|p| &p[..]),
-            Some(&b"new"[..])
-        );
+        assert_eq!(reopened.lookup("dri", 1, 5).as_deref(), Some(&b"new"[..]));
         let _ = fs::remove_dir_all(root);
     }
 
@@ -708,6 +807,11 @@ mod tests {
         assert_eq!(journal.compact(&store).expect("idle compact"), 0);
         let stats = journal.stats();
         assert_eq!((stats.compactions, stats.compacted), (1, 2));
+        assert_eq!(
+            store.stats().writes,
+            2,
+            "compacted records count as store writes"
+        );
         let _ = fs::remove_dir_all(root);
     }
 
@@ -744,7 +848,7 @@ mod tests {
             "both acked records, nothing else"
         );
         assert_eq!(
-            reopened.lookup("dri", 1, 2).as_deref().map(|p| &p[..]),
+            reopened.lookup("dri", 1, 2).as_deref(),
             Some(&b"acked two"[..])
         );
         assert_eq!(reopened.lookup("dri", 1, 3), None);
@@ -768,14 +872,16 @@ mod tests {
         journal
             .append_batch(vec![entry("dri", 9, b"first")])
             .unwrap();
-        // A rewrite swaps the indexed Arc — the identity the compaction
-        // sweep uses to decide whether an entry may be dropped.
-        let held = journal.lookup("dri", 1, 9).expect("indexed");
         journal
             .append_batch(vec![entry("dri", 9, b"second")])
             .unwrap();
-        assert!(!Arc::ptr_eq(&held, &journal.lookup("dri", 1, 9).unwrap()));
-        journal.compact(&store).expect("compact");
+        assert_eq!(
+            journal.lookup("dri", 1, 9).as_deref(),
+            Some(&b"second"[..]),
+            "the index points at the newest frame"
+        );
+        assert_eq!(journal.compact(&store).expect("compact"), 1, "one write");
+        assert_eq!(store.stats().writes, 1, "the stale copy is skipped");
         assert_eq!(journal.lookup("dri", 1, 9), None, "drained");
         assert_eq!(store.load("dri", 1, 9).as_deref(), Some(&b"second"[..]));
         let _ = fs::remove_dir_all(root);

@@ -83,7 +83,7 @@
 //!
 //! ## Group-commit journal
 //!
-//! [`journal::Journal`] is the server-side write path's fast lane: a
+//! [`journal::Journal`] is the server-side write path: a
 //! whole `batch-put` lands as **one** checksummed frame appended to
 //! `<root>/journal/seg-*.wal` with **one** fsync, is acked only after
 //! that fsync, and is readable from the journal index immediately; a

@@ -422,26 +422,37 @@ impl ResultStore {
     /// the store is best-effort and a failed save only costs a future
     /// recompute.
     pub fn save(&self, kind: &str, schema: u32, key: u128, payload: &[u8]) {
-        let started = std::time::Instant::now();
-        match self.try_save(kind, schema, key, payload) {
-            Ok(total) => {
-                self.stats.writes.fetch_add(1, Ordering::Relaxed);
-                self.stats.bytes_written.fetch_add(total, Ordering::Relaxed);
-                self.save_latency.record_duration(started.elapsed());
-            }
-            Err(_) => {
-                self.stats.write_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let _ = self.try_save(kind, schema, key, payload);
     }
 
+    /// [`Self::save`] for callers that must know whether the write
+    /// landed (journal compaction keeps a record journal-resident until
+    /// it does). The accounting is identical: `writes`, `bytes_written`
+    /// and the save-latency histogram on success, `write_errors` on
+    /// failure.
     pub(crate) fn try_save(
         &self,
         kind: &str,
         schema: u32,
         key: u128,
         payload: &[u8],
-    ) -> io::Result<u64> {
+    ) -> io::Result<()> {
+        let started = std::time::Instant::now();
+        match self.write_record(kind, schema, key, payload) {
+            Ok(total) => {
+                self.stats.writes.fetch_add(1, Ordering::Relaxed);
+                self.stats.bytes_written.fetch_add(total, Ordering::Relaxed);
+                self.save_latency.record_duration(started.elapsed());
+                Ok(())
+            }
+            Err(err) => {
+                self.stats.write_errors.fetch_add(1, Ordering::Relaxed);
+                Err(err)
+            }
+        }
+    }
+
+    fn write_record(&self, kind: &str, schema: u32, key: u128, payload: &[u8]) -> io::Result<u64> {
         let path = self.entry_path(kind, schema, key);
         let dir = path.parent().expect("entry path has a shard directory");
         fs::create_dir_all(dir)?;
