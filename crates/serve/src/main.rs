@@ -129,7 +129,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let usage = store.disk_usage();
     let writable = args.token.is_some();
     let faults = match FaultSpec::from_env() {
         Ok(faults) => faults,
@@ -165,9 +164,7 @@ fn main() -> ExitCode {
     // (possibly ephemeral) port; progress/diagnostics stay on stderr.
     println!("dri-serve: listening on http://{}", server.addr());
     eprintln!(
-        "dri-serve: store {root} ({} records, {} bytes), {} front-end, {} workers; {} — Ctrl-C to stop",
-        usage.records,
-        usage.bytes,
+        "dri-serve: store {root}, {} front-end, {} workers; {} — Ctrl-C to stop",
         if dri_serve::server::event_loop_from_env() {
             "event-loop"
         } else {

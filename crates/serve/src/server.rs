@@ -519,7 +519,7 @@ impl Default for AtomicServeStats {
             ),
             store_records: registry.gauge(
                 "dri_serve_store_records",
-                "validated records on disk (cached walk)",
+                "record files on disk (cached walk)",
             ),
             store_bytes: registry.gauge(
                 "dri_serve_store_bytes",
@@ -587,8 +587,9 @@ pub(crate) struct Shared {
     /// endpoints are disabled and the service is strictly read-only,
     /// exactly as it was before the push path existed.
     token: Option<String>,
-    /// Cached `disk_usage` walk for `/stats`: a polling monitor must not
-    /// force a full recursive scan of a multi-gigabyte root per probe.
+    /// Cached `disk_usage` walk for `/stats` and `/metrics`: the walk
+    /// holds no per-record memory, but its time still grows with the
+    /// root, and a polling monitor must not pay it per probe.
     usage: Mutex<Option<(Instant, DiskUsage)>>,
     /// Durable work-unit lease table under the store root, brokered to
     /// `--steal` workers over `/lease/*` (gated by the same write token).

@@ -31,6 +31,16 @@
 //! lives in an ordinary `.bin` file) are swept opportunistically by
 //! every pass, including dry runs' accounting.
 //!
+//! One walker serves both GC and accounting. It streams the tree depth
+//! first, holding one open directory per level, takes the dir/file
+//! decision from the directory entry's own type (a symlinked directory is
+//! still followed), and hands each entry it classifies to a visitor.
+//! [`ResultStore::disk_usage`] only sums records and bytes, so its memory
+//! does not grow with the store and it reads no `.gen` sidecar; a GC pass
+//! alone collects its records (it must sort them by stamp before it can
+//! evict) and sweeps debris as the walk finds it. Both see the same
+//! classes, so `disk_usage` and a pass's `scanned_*` figures agree.
+//!
 //! Campaign lease state ([`crate::lease`]) lives under the same root but
 //! is **not** the GC's to manage: `.lease` files match none of the
 //! walker's classes, so a pass never counts, evicts, or sweeps a live
@@ -103,7 +113,8 @@ pub struct DiskUsage {
     pub bytes: u64,
 }
 
-/// One record file found by the walker.
+/// One record file a GC pass collects: the pass must see them all before
+/// it can order evictions by stamp.
 struct RecordEntry {
     path: PathBuf,
     bytes: u64,
@@ -112,22 +123,36 @@ struct RecordEntry {
     stamp: u64,
 }
 
-/// Everything a walk of the store tree finds.
-struct Walk {
-    records: Vec<RecordEntry>,
-    /// Leftover `.tomb` files and orphaned `.gen` sidecars: (path, bytes).
-    debris: Vec<(PathBuf, u64)>,
+/// What the walker makes of one non-directory entry, by its name (and,
+/// for `.tmp-` files, its age). Anything else — a live `seg-*.wal`
+/// journal segment, a `.lease` file, the `generation` file — is none of
+/// these and never reaches a visitor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Class {
+    /// A `.bin` record file.
+    Record,
+    /// A `.gen` access-stamp sidecar: debris once its record is gone,
+    /// which only a GC pass stops to check.
+    Sidecar,
+    /// A leftover `.tomb`, a drained `.wal.compacted` segment, or a stale
+    /// `.tmp-` file.
+    Debris,
 }
 
 impl ResultStore {
     /// Counts the record files under the store root (the figure
     /// `suite --store-stats` reports, and the one GC size budgets bound).
+    /// Streams the walk: memory stays flat however many records the root
+    /// holds, and no sidecar is read.
     pub fn disk_usage(&self) -> DiskUsage {
-        let walk = self.walk();
-        DiskUsage {
-            records: walk.records.len() as u64,
-            bytes: walk.records.iter().map(|r| r.bytes).sum(),
-        }
+        let mut usage = DiskUsage::default();
+        self.walk(&mut |entry, class| {
+            if class == Class::Record {
+                usage.records += 1;
+                usage.bytes += size(entry);
+            }
+        });
+        usage
     }
 
     /// Runs one GC pass under `policy` (see the module docs for the
@@ -148,40 +173,51 @@ impl ResultStore {
         if !policy.dry_run {
             self.set_generation(generation);
         }
-
-        let mut walk = self.walk();
-        // Deterministic eviction order: least-recently-stamped first,
-        // path as the tie-break.
-        walk.records
-            .sort_by(|a, b| a.stamp.cmp(&b.stamp).then_with(|| a.path.cmp(&b.path)));
-        let scanned_records = walk.records.len() as u64;
-        let scanned_bytes: u64 = walk.records.iter().map(|r| r.bytes).sum();
-
         let mut report = GcReport {
             generation,
-            scanned_records,
-            scanned_bytes,
-            remaining_records: scanned_records,
-            remaining_bytes: scanned_bytes,
             dry_run: policy.dry_run,
             ..GcReport::default()
         };
 
         // Debris costs nothing to sweep and never races anyone: a .tomb
-        // is already dead and an orphaned .gen has no record left.
-        for (path, bytes) in &walk.debris {
-            if !policy.dry_run {
-                let _ = fs::remove_file(path);
+        // is already dead and an orphaned .gen has no record left — so it
+        // goes as soon as the walk finds it.
+        let mut records = Vec::new();
+        self.walk(&mut |entry, class| {
+            let path = entry.path();
+            let debris = match class {
+                Class::Record => {
+                    records.push(RecordEntry {
+                        stamp: read_stamp(&path.with_extension("gen")),
+                        bytes: size(entry),
+                        path,
+                    });
+                    return;
+                }
+                Class::Sidecar => !path.with_extension("bin").exists(),
+                Class::Debris => true,
+            };
+            if debris {
+                report.reclaimed_bytes += size(entry);
+                if !policy.dry_run {
+                    let _ = fs::remove_file(&path);
+                }
             }
-            report.reclaimed_bytes += bytes;
-        }
+        });
+        // Deterministic eviction order: least-recently-stamped first,
+        // path as the tie-break.
+        records.sort_by(|a, b| a.stamp.cmp(&b.stamp).then_with(|| a.path.cmp(&b.path)));
+        report.scanned_records = records.len() as u64;
+        report.scanned_bytes = records.iter().map(|r| r.bytes).sum();
+        report.remaining_records = report.scanned_records;
+        report.remaining_bytes = report.scanned_bytes;
 
         let over_age = |stamp: u64| -> bool {
             policy
                 .max_age
                 .is_some_and(|max| generation.saturating_sub(stamp) > max)
         };
-        for record in &walk.records {
+        for record in &records {
             let over_budget = policy
                 .max_bytes
                 .is_some_and(|max| report.remaining_bytes > max);
@@ -218,56 +254,73 @@ impl ResultStore {
         sidecar_bytes
     }
 
-    /// Walks `<root>/<kind>/v<schema>/<shard>/` collecting records and
-    /// debris. Unreadable directories are skipped: GC is best-effort,
-    /// like every other store operation.
-    fn walk(&self) -> Walk {
-        let mut walk = Walk {
-            records: Vec::new(),
-            debris: Vec::new(),
-        };
-        let mut stack = vec![self.root().to_path_buf()];
-        while let Some(dir) = stack.pop() {
-            let Ok(entries) = fs::read_dir(&dir) else {
+    /// Streams every classified entry under the root to `visit`, depth
+    /// first, holding one open directory per level of the tree: memory
+    /// grows with `<root>/<kind>/v<schema>/<shard>/`'s depth, never with
+    /// how many records it holds. Unreadable directories are skipped: GC
+    /// is best-effort, like every other store operation.
+    fn walk(&self, visit: &mut dyn FnMut(&fs::DirEntry, Class)) {
+        let mut open: Vec<fs::ReadDir> = fs::read_dir(self.root()).into_iter().collect();
+        while let Some(dir) = open.last_mut() {
+            let Some(entry) = dir.next() else {
+                open.pop();
                 continue;
             };
-            for entry in entries.filter_map(Result::ok) {
-                let path = entry.path();
-                if path.is_dir() {
-                    stack.push(path);
-                    continue;
+            let Ok(entry) = entry else {
+                continue;
+            };
+            if is_dir(&entry) {
+                if let Ok(sub) = fs::read_dir(entry.path()) {
+                    open.push(sub);
                 }
-                let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                    continue;
-                };
-                let size = || entry.metadata().map(|m| m.len()).unwrap_or(0);
-                if name.ends_with(".bin") {
-                    walk.records.push(RecordEntry {
-                        stamp: read_stamp(&path.with_extension("gen")),
-                        bytes: size(),
-                        path,
-                    });
-                } else if name.contains(".tomb")
-                    || (name.ends_with(".gen") && !path.with_extension("bin").exists())
-                    || name.ends_with(crate::journal::COMPACTED_SUFFIX)
-                    || (name.starts_with(".tmp-")
-                        && tmp_is_stale(
-                            entry.metadata().ok().and_then(|m| m.modified().ok()),
-                            SystemTime::now(),
-                        ))
-                {
-                    // Journal note: a live `seg-*.wal` segment matches
-                    // *none* of these classes and is spared — it may hold
-                    // the only durable copy of an acked record. Only the
-                    // `.wal.compacted` rename left by a compactor crash
-                    // (its records already live in ordinary `.bin` files)
-                    // is debris.
-                    walk.debris.push((path, size()));
-                }
+            } else if let Some(class) = classify(&entry) {
+                visit(&entry, class);
             }
         }
-        walk
     }
+}
+
+/// The directory test from the entry's own file type (no `stat` on
+/// filesystems that report it). A symlink is followed to its target, as
+/// `Path::is_dir` does, so a symlinked directory is walked.
+fn is_dir(entry: &fs::DirEntry) -> bool {
+    match entry.file_type() {
+        Ok(kind) if !kind.is_symlink() => kind.is_dir(),
+        _ => entry.path().is_dir(),
+    }
+}
+
+/// Classifies a non-directory entry; `None` for everything GC must leave
+/// alone. A live `seg-*.wal` journal segment matches no class and is
+/// spared — it may hold the only durable copy of an acked record. Only
+/// the `.wal.compacted` rename left by a compactor crash (its records
+/// already live in ordinary `.bin` files) is debris.
+fn classify(entry: &fs::DirEntry) -> Option<Class> {
+    let name = entry.file_name();
+    let name = name.to_str()?;
+    if name.ends_with(".bin") {
+        Some(Class::Record)
+    } else if name.contains(".tomb") {
+        Some(Class::Debris)
+    } else if name.ends_with(".gen") {
+        Some(Class::Sidecar)
+    } else if name.ends_with(crate::journal::COMPACTED_SUFFIX)
+        || (name.starts_with(".tmp-")
+            && tmp_is_stale(
+                entry.metadata().ok().and_then(|m| m.modified().ok()),
+                SystemTime::now(),
+            ))
+    {
+        Some(Class::Debris)
+    } else {
+        None
+    }
+}
+
+/// An entry's own size (a symlink's, not its target's); 0 when it
+/// vanished mid-walk.
+fn size(entry: &fs::DirEntry) -> u64 {
+    entry.metadata().map(|m| m.len()).unwrap_or(0)
 }
 
 /// Whether a `.tmp-` file's age marks it as leaked by a crashed writer.
@@ -306,6 +359,22 @@ mod tests {
         for key in 0..n {
             store.save("dri", 1, key, &[0xab; 100]);
         }
+    }
+
+    /// Accounting and GC share one walker: `disk_usage` must count exactly
+    /// the records and bytes a dry-run pass scans, whatever debris, lease
+    /// state or journal segments sit beside them.
+    fn assert_usage_matches_dry_run(store: &ResultStore) {
+        let usage = store.disk_usage();
+        let dry = store.gc(&GcPolicy {
+            dry_run: true,
+            ..GcPolicy::default()
+        });
+        assert_eq!(
+            (usage.records, usage.bytes),
+            (dry.scanned_records, dry.scanned_bytes),
+            "disk_usage and a GC pass classify entries alike"
+        );
     }
 
     #[test]
@@ -452,6 +521,7 @@ mod tests {
             .unwrap()
             .set_modified(SystemTime::now() - STALE_TMP_AGE - Duration::from_secs(60))
             .unwrap();
+        assert_usage_matches_dry_run(&store);
 
         // The most aggressive possible pass: evict every record.
         let report = store.gc(&GcPolicy {
@@ -505,6 +575,7 @@ mod tests {
             .join(crate::journal::JOURNAL_DIR)
             .join("seg-00000000000000aa.wal.compacted");
         fs::write(&leftover, b"already drained into .bin files").unwrap();
+        assert_usage_matches_dry_run(&store);
 
         // The most aggressive possible pass: evict every record.
         let report = store.gc(&GcPolicy {
@@ -538,6 +609,7 @@ mod tests {
             0u64.to_le_bytes(),
         )
         .unwrap();
+        assert_usage_matches_dry_run(&store);
         let report = store.gc(&GcPolicy::default());
         assert_eq!(report.evicted_records, 0);
         assert!(report.reclaimed_bytes >= 4 + 8, "tomb + orphan sidecar");
